@@ -74,7 +74,7 @@ use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
 use plic3_ts::{Trace, TransitionSystem};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -95,10 +95,12 @@ pub struct PortfolioConfig {
     /// are dropped, never blocked on.
     pub inbox_capacity: usize,
     /// Resource budgets handed to every worker. The wall-clock budget is
-    /// enforced by the portfolio itself: when `limits.max_time` is set, an
-    /// internal timer raises the shared stop flag at the deadline, so even
-    /// the incomplete workers (BMC, k-induction — which have no in-engine
-    /// clock) wind down on time without an external watchdog.
+    /// enforced by the portfolio itself: when `limits.max_time` is set, the
+    /// thread calling [`Portfolio::check`] waits for the workers with that
+    /// deadline and raises the shared stop flag when it passes, so even the
+    /// incomplete workers (BMC, k-induction — which have no in-engine clock)
+    /// wind down on time without an external watchdog. No thread is spawned
+    /// for this.
     pub limits: Limits,
     /// Shared cancellation flag: raised by the winner to cancel the losers,
     /// and by external owners (e.g. a watchdog) to cancel the whole race.
@@ -392,6 +394,10 @@ impl Portfolio {
     /// workers return promptly; the same flag doubles as the external
     /// cancellation point. Workers that never got a thread before the race
     /// ended report [`WorkerStatus::NotRun`].
+    ///
+    /// The call returns as soon as the last worker thread exits; with
+    /// `limits.max_time` set, it raises the stop flag at the deadline and
+    /// then returns once the cancelled workers have wound down.
     pub fn check(&mut self) -> PortfolioOutcome {
         let started = Instant::now();
         let stop = self.config.stop.clone();
@@ -444,26 +450,14 @@ impl Portfolio {
         // retry reuses its slot's (partially spent) budget.
         let budgets = self.config.budget.split(n);
 
+        // The calling thread is both the finish line and the deadline: without
+        // the deadline, a BMC or k-induction worker that can never conclude
+        // would outlive every timed-out IC3 worker and block the scope join
+        // forever.
+        let live = LiveThreads::new(threads);
+        let deadline = self.config.limits.max_time.map(|budget| started + budget);
+
         thread::scope(|scope| {
-            // Wall-clock enforcement: without this, a BMC or k-induction
-            // worker that can never conclude would outlive every timed-out
-            // IC3 worker and block the scope join forever. The timer polls in
-            // small steps so it also exits promptly once a winner (or an
-            // external owner) raises the flag.
-            if let Some(budget) = self.config.limits.max_time {
-                let stop = stop.clone();
-                scope.spawn(move || {
-                    let deadline = Instant::now() + budget;
-                    while !stop.is_stopped() {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            stop.stop();
-                            return;
-                        }
-                        thread::sleep((deadline - now).min(Duration::from_millis(10)));
-                    }
-                });
-            }
             let certify = self.config.certify;
             for _ in 0..threads {
                 let stop = stop.clone();
@@ -477,7 +471,7 @@ impl Portfolio {
                 let next = &next;
                 let budgets = &budgets;
                 let faults = &self.config.faults;
-                scope.spawn(move || loop {
+                let work = move || loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     if index >= n {
                         return;
@@ -581,8 +575,14 @@ impl Portfolio {
                             stop.stop();
                         }
                     }
+                };
+                let live = &live;
+                scope.spawn(move || {
+                    let _exit = ExitSignal(live);
+                    work()
                 });
             }
+            live.wait(deadline, &stop);
         });
 
         let workers: Vec<WorkerReport> = reports
@@ -600,8 +600,8 @@ impl Portfolio {
             Some(_) => unreachable!("inconclusive outcomes never claim the race"),
             None => {
                 let mut reason = unknown_reason(&workers);
-                // Workers cancelled by the internal wall-clock timer report
-                // a bare cancellation; attribute it to the budget.
+                // Workers cancelled at the caller's wall-clock deadline
+                // report a bare cancellation; attribute it to the budget.
                 if reason == UnknownReason::Cancelled {
                     if let Some(budget) = self.config.limits.max_time {
                         if started.elapsed() >= budget {
@@ -640,6 +640,62 @@ fn unknown_reason(workers: &[WorkerReport]) -> UnknownReason {
         }
     }
     best
+}
+
+/// The number of a race's worker threads still running, and the condition
+/// variable the calling thread waits on for it to reach zero.
+struct LiveThreads {
+    count: Mutex<usize>,
+    finished: Condvar,
+}
+
+impl LiveThreads {
+    fn new(threads: usize) -> Self {
+        LiveThreads {
+            count: Mutex::new(threads),
+            finished: Condvar::new(),
+        }
+    }
+
+    /// Blocks until every worker thread has dropped its [`ExitSignal`]. With
+    /// a `deadline`, returns at the deadline instead if threads are still
+    /// running, after raising `stop` so they wind down.
+    fn wait(&self, deadline: Option<Instant>, stop: &StopFlag) {
+        let mut running = lock(&self.count);
+        while *running > 0 {
+            running = match deadline {
+                None => self
+                    .finished
+                    .wait(running)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        stop.stop();
+                        return;
+                    }
+                    self.finished
+                        .wait_timeout(running, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+}
+
+/// Held by every worker thread for its whole life. Dropping it (on a normal
+/// exit *or* while unwinding from a panic that escaped `catch_unwind`)
+/// decrements the live count and wakes the waiting caller, so an escaped
+/// panic surfaces as the scope's panic instead of leaving the caller waiting
+/// forever.
+struct ExitSignal<'a>(&'a LiveThreads);
+
+impl Drop for ExitSignal<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.count) -= 1;
+        self.0.finished.notify_one();
+    }
 }
 
 /// Locks a mutex, tolerating poison: a poisoned report or winner lock means
@@ -822,41 +878,141 @@ mod tests {
     #[test]
     fn wall_clock_budget_bounds_workers_without_an_engine_clock() {
         // BMC and k-induction have no in-engine wall clock and, unbounded on
-        // a safe instance, would never return; the portfolio's own timer must
-        // cancel them at the budget even with no external watchdog.
+        // a safe instance, would never return; the caller's deadline wait in
+        // `check` must cancel them at the budget even with no external
+        // watchdog — racing on two threads, and chained on one thread with
+        // depth bounds far out of reach. The bare cancellation this causes
+        // is attributed to the budget.
         let aig = trap_cycle();
+        for threads in [2, 1] {
+            let config = PortfolioConfig {
+                threads,
+                limits: Limits {
+                    max_time: Some(Duration::from_millis(50)),
+                    ..Limits::default()
+                },
+                fallback_bounds: FallbackBounds {
+                    bmc_depth: usize::MAX,
+                    max_k: usize::MAX,
+                },
+                ..PortfolioConfig::default()
+            };
+            let mut portfolio =
+                Portfolio::from_aig(&aig, config).with_workers(incomplete_workers());
+            let started = Instant::now();
+            let outcome = portfolio.check();
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "the budget failed to bound the race on {threads} thread(s)"
+            );
+            assert_eq!(
+                outcome.result,
+                PortfolioResult::Unknown(UnknownReason::Timeout),
+                "{threads} thread(s)"
+            );
+        }
+    }
+
+    /// The two incomplete engines, which never conclude on [`trap_cycle`]
+    /// unless a depth bound or the stop flag ends them.
+    fn incomplete_workers() -> Vec<WorkerSpec> {
+        let search = plic3_sat::SearchConfig::default();
+        vec![
+            WorkerSpec::new("bmc", Strategy::Bmc { search }),
+            WorkerSpec::new("k-induction", Strategy::KInduction { search }),
+        ]
+    }
+
+    #[test]
+    fn a_timed_race_returns_when_its_last_worker_ends() {
+        // The call must end with its workers, not at the next tick of some
+        // polling clock: under a generous budget, the time `check` spends
+        // beyond the winner's own runtime is thread start-up, the losers'
+        // cancellation and the join. The minimum over several races filters
+        // out scheduler noise.
+        let mut b = AigBuilder::new();
+        let s = b.latch(Some(true));
+        b.set_latch_next(s, s);
+        b.add_bad(s);
+        let aig = b.build();
         let config = PortfolioConfig {
+            threads: 2,
             limits: Limits {
-                max_time: Some(Duration::from_millis(50)),
+                max_time: Some(Duration::from_secs(60)),
                 ..Limits::default()
             },
             ..PortfolioConfig::default()
         };
-        let workers = vec![
-            WorkerSpec::new(
-                "bmc",
-                Strategy::Bmc {
-                    search: plic3_sat::SearchConfig::default(),
-                },
-            ),
-            WorkerSpec::new(
-                "k-induction",
-                Strategy::KInduction {
-                    search: plic3_sat::SearchConfig::default(),
-                },
-            ),
-        ];
-        let mut portfolio = Portfolio::from_aig(&aig, config).with_workers(workers);
-        let started = Instant::now();
-        let outcome = portfolio.check();
+        let mut portfolio = Portfolio::from_aig(&aig, config);
+        let mut overheads = Vec::new();
+        for _ in 0..20 {
+            portfolio.config.stop = StopFlag::new();
+            let outcome = portfolio.check();
+            assert!(outcome.result.is_unsafe(), "{:?}", outcome.result);
+            let winner = &outcome.workers[outcome.winner.expect("someone won")];
+            overheads.push(outcome.runtime.saturating_sub(winner.runtime));
+        }
+        let best = overheads.iter().min().expect("twenty races");
         assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "the budget failed to bound the race"
+            *best < Duration::from_millis(3),
+            "race outlived its winner by at least {best:?}: {overheads:?}"
         );
+    }
+
+    #[test]
+    fn an_external_stop_ends_an_untimed_race() {
+        // With no wall-clock budget the caller waits without a deadline; it
+        // must still wake when the cancelled workers exit.
+        let aig = trap_cycle();
+        let stop = StopFlag::new();
+        let config = PortfolioConfig {
+            threads: 2,
+            stop: stop.clone(),
+            ..PortfolioConfig::default()
+        };
+        let mut portfolio = Portfolio::from_aig(&aig, config).with_workers(incomplete_workers());
+        let started = Instant::now();
+        let outcome = thread::scope(|scope| {
+            scope.spawn(|| {
+                // Any order of this stop and the workers' start must end in
+                // a cancellation; the delay only makes it likely that both
+                // workers are deep in their SAT queries when it comes.
+                let raise_at = started + Duration::from_millis(50);
+                while Instant::now() < raise_at {
+                    thread::park_timeout(raise_at.saturating_duration_since(Instant::now()));
+                }
+                stop.stop();
+            });
+            portfolio.check()
+        });
+        assert!(started.elapsed() < Duration::from_secs(10));
         assert_eq!(
             outcome.result,
-            PortfolioResult::Unknown(UnknownReason::Timeout)
+            PortfolioResult::Unknown(UnknownReason::Cancelled)
         );
+        assert!(outcome.winner.is_none());
+    }
+
+    #[test]
+    fn an_escaped_panic_wakes_the_waiting_caller() {
+        // A panic outside the workers' `catch_unwind` still drops the exit
+        // signal, so the caller stops waiting and the scope re-raises the
+        // panic, long before the (far) deadline.
+        let live = LiveThreads::new(1);
+        let stop = StopFlag::new();
+        let started = Instant::now();
+        let joined = catch_unwind(AssertUnwindSafe(|| {
+            thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _exit = ExitSignal(&live);
+                    panic!("escaped the worker's catch_unwind");
+                });
+                live.wait(Some(started + Duration::from_secs(60)), &stop);
+            })
+        }));
+        assert!(joined.is_err(), "the scope re-raises the worker's panic");
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert!(!stop.is_stopped(), "the deadline never passed");
     }
 
     #[test]
