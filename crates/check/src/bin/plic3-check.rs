@@ -153,7 +153,7 @@ fn main() -> ExitCode {
             println!("verdict: unsafe ({} steps)", trace.len());
             let replays = match &prep {
                 Some(p) => p.replay_on_original(engine.ts(), trace),
-                None => plic3::verify_trace(engine.ts(), &original, trace),
+                None => trace.replay_on_aig(engine.ts(), &original),
             };
             if replays {
                 println!("counterexample replayed on the original circuit");

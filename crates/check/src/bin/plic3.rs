@@ -14,8 +14,9 @@
 //! `10` when a counterexample is found, `0` when no verdict was reached within
 //! the budget, `2` on usage or input errors.
 
-use plic3::{verify_certificate, verify_trace, CheckResult, Config, Ic3};
+use plic3::{CheckResult, Config, Ic3};
 use plic3_aig::parse_aiger;
+use plic3_check::{check_invariant, CheckOptions};
 use plic3_ts::TransitionSystem;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -111,7 +112,7 @@ fn main() -> ExitCode {
     }
     match result {
         CheckResult::Safe(certificate) => {
-            if let Err(e) = verify_certificate(engine.ts(), &certificate) {
+            if let Err(e) = check_invariant(engine.ts(), &certificate, &CheckOptions::default()) {
                 eprintln!("internal error: certificate rejected: {e}");
                 return ExitCode::from(2);
             }
@@ -126,7 +127,7 @@ fn main() -> ExitCode {
             ExitCode::from(20)
         }
         CheckResult::Unsafe(trace) => {
-            if !verify_trace(engine.ts(), &aig, &trace) {
+            if !trace.replay_on_aig(engine.ts(), &aig) {
                 eprintln!("internal error: counterexample does not replay");
                 return ExitCode::from(2);
             }

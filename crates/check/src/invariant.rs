@@ -32,6 +32,10 @@
 //! conditions are discharged with fresh SAT queries: `I ⇒ INV`, `INV ∧ T ⇒
 //! INV'`, and `INV ∧ T ⇒ P'` (plus `I ⇒ P` directly).
 //!
+//! [`check_invariant`] discharges the same conditions for a certificate on
+//! the transition system it was produced on, with no translation and no
+//! facts; both entry points share one discharge kernel.
+//!
 //! With [`CheckOptions::drat`] set (and the solver's `proof-log` feature
 //! compiled in), every UNSAT answer the checker relies on is itself DRAT
 //! checked by [`crate::check_unsat_proof`], closing the loop: the certificate
@@ -250,8 +254,66 @@ pub fn check_certificate_on_original(
         }
     }
 
+    discharge(&ts_orig, &items, &facts, options)
+}
+
+/// Checks `cert` as an inductive strengthening of the property of `ts`, the
+/// transition system the engine ran on. Lemma literals must be state
+/// variables of `ts`; no preprocessing facts are involved.
+///
+/// This is the check for callers that hold only a [`TransitionSystem`] (the
+/// portfolio's vetting gate, tests). To check a certificate on the original
+/// circuit of a preprocessed run, use [`check_certificate_on_original`].
+///
+/// # Errors
+///
+/// As for [`check_certificate_on_original`].
+///
+/// # Example
+///
+/// ```
+/// use plic3::{Config, Ic3};
+/// use plic3_aig::AigBuilder;
+/// use plic3_check::{check_invariant, CheckOptions};
+///
+/// let mut b = AigBuilder::new();
+/// let s = b.latch(Some(false));
+/// b.set_latch_next(s, s);
+/// b.add_bad(s);
+/// let mut engine = Ic3::from_aig(&b.build(), Config::ric3_like());
+/// let result = engine.check();
+/// let cert = result.certificate().expect("safe circuit");
+/// check_invariant(engine.ts(), cert, &CheckOptions::default()).expect("certificate is valid");
+/// ```
+pub fn check_invariant(
+    ts: &TransitionSystem,
+    cert: &Certificate,
+    options: &CheckOptions,
+) -> Result<CertCheckReport, CertCheckError> {
+    let mut lemmas: Vec<Vec<Lit>> = Vec::with_capacity(cert.lemmas.len());
+    for (i, clause) in cert.lemmas.iter().enumerate() {
+        if clause.iter().any(|l| !ts.is_latch_var(l.var())) {
+            return Err(CertCheckError::Invalid(format!(
+                "lemma {i} ({clause}) mentions a non-state variable"
+            )));
+        }
+        lemmas.push(clause.iter().collect());
+    }
+    discharge(ts, &lemmas, &[], options)
+}
+
+/// Discharges the invariant conditions on `ts` for the candidate invariant
+/// `lemmas ∧ facts ∧ P`: initiation of every clause and `I ⇒ P` on a
+/// single-frame solver, then consecution of every clause and `INV ∧ T ⇒ P'`
+/// on a two-frame unrolling.
+fn discharge(
+    ts: &TransitionSystem,
+    lemmas: &[Vec<Lit>],
+    facts: &[Vec<Lit>],
+    options: &CheckOptions,
+) -> Result<CertCheckReport, CertCheckError> {
     let mut report = CertCheckReport {
-        lemmas: items.len(),
+        lemmas: lemmas.len(),
         facts: facts.len(),
         queries: 0,
         drat_checked: 0,
@@ -260,14 +322,14 @@ pub fn check_certificate_on_original(
     // --- Initiation (and I => P), on a single-frame solver. ---
     let mut init_solver = Solver::new();
     configure(&mut init_solver, options);
-    init_solver.ensure_vars(ts_orig.num_vars());
-    for clause in ts_orig.trans() {
+    init_solver.ensure_vars(ts.num_vars());
+    for clause in ts.trans() {
         init_solver.add_clause_ref(clause);
     }
-    for clause in ts_orig.init_cnf() {
+    for clause in ts.init_cnf() {
         init_solver.add_clause_ref(clause);
     }
-    for (kind, clauses) in [("lemma", &items), ("preprocessing fact", &facts)] {
+    for (kind, clauses) in [("lemma", lemmas), ("preprocessing fact", facts)] {
         for (i, c) in clauses.iter().enumerate() {
             let negated: Vec<Lit> = c.iter().map(|&l| !l).collect();
             expect_unsat(
@@ -281,14 +343,14 @@ pub fn check_certificate_on_original(
     }
     expect_unsat(
         &mut init_solver,
-        &ts_orig.bad_assumptions(),
-        "an initial state of the original circuit violates the property",
+        &ts.bad_assumptions(),
+        "an initial state violates the property",
         options,
         &mut report,
     )?;
 
     // --- Consecution (and INV ∧ T => P'), on a two-frame unrolling. ---
-    let unroller = Unroller::new(&ts_orig);
+    let unroller = Unroller::new(ts);
     let mut step_solver = Solver::new();
     configure(&mut step_solver, options);
     step_solver.ensure_vars(unroller.num_vars_through(1));
@@ -298,31 +360,31 @@ pub fn check_certificate_on_original(
     for clause in unroller.trans_clauses(1) {
         step_solver.add_clause_ref(&clause);
     }
-    for c in items.iter().chain(facts.iter()) {
+    for c in lemmas.iter().chain(facts) {
         step_solver.add_clause(c.iter().map(|&l| unroller.lit_at(0, l)));
     }
-    let not_bad_now = !unroller.lit_at(0, ts_orig.bad_lit());
-    for (kind, clauses) in [("lemma", &items), ("preprocessing fact", &facts)] {
+    let not_bad_now = !unroller.lit_at(0, ts.bad_lit());
+    for (kind, clauses) in [("lemma", lemmas), ("preprocessing fact", facts)] {
         for (i, c) in clauses.iter().enumerate() {
             let mut assumptions = vec![not_bad_now];
             assumptions.extend(c.iter().map(|&l| unroller.lit_at(1, !l)));
             expect_unsat(
                 &mut step_solver,
                 &assumptions,
-                &format!("{kind} {i} is not preserved by the original transition relation"),
+                &format!("{kind} {i} is not preserved by the transition relation"),
                 options,
                 &mut report,
             )?;
         }
     }
-    let mut assumptions = vec![not_bad_now, unroller.lit_at(1, ts_orig.bad_lit())];
-    for &c in ts_orig.constraint_lits() {
+    let mut assumptions = vec![not_bad_now, unroller.lit_at(1, ts.bad_lit())];
+    for &c in ts.constraint_lits() {
         assumptions.push(unroller.lit_at(1, c));
     }
     expect_unsat(
         &mut step_solver,
         &assumptions,
-        "the invariant does not imply the property after one step on the original circuit",
+        "the invariant does not imply the property after one step",
         options,
         &mut report,
     )?;
@@ -348,7 +410,7 @@ mod tests {
     use super::*;
     use plic3::{Config, Ic3};
     use plic3_aig::AigBuilder;
-    use plic3_logic::Clause;
+    use plic3_logic::{Clause, Cube};
 
     fn safe_counter() -> Aig {
         // A 3-bit counter saturating at 5; bad at 7 (unreachable).
@@ -379,6 +441,44 @@ mod tests {
             report.queries > report.lemmas,
             "initiation + consecution + property"
         );
+        let on_ts = check_invariant(engine.ts(), &cert, &CheckOptions::default())
+            .expect("certificate valid on the engine's system");
+        assert_eq!(on_ts, report);
+    }
+
+    #[test]
+    fn rejects_certificates_violating_initiation() {
+        let ts = TransitionSystem::from_aig(&safe_counter());
+        // The clause ¬(all latches 0) is false in the initial state.
+        let bogus = Certificate {
+            lemmas: vec![Clause::from_lits((0..3).map(|i| Lit::pos(ts.latch_var(i))))],
+            level: 1,
+        };
+        let err = check_invariant(&ts, &bogus, &CheckOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, CertCheckError::Invalid(ref why) if why.contains("initial")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_certificates_violating_consecution() {
+        let ts = TransitionSystem::from_aig(&safe_counter());
+        // "Counter never reaches 1" is initially true but not inductive.
+        let bogus = Certificate {
+            lemmas: vec![Cube::from_lits([
+                Lit::pos(ts.latch_var(0)),
+                Lit::neg(ts.latch_var(1)),
+                Lit::neg(ts.latch_var(2)),
+            ])
+            .negate()],
+            level: 1,
+        };
+        let err = check_invariant(&ts, &bogus, &CheckOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, CertCheckError::Invalid(ref why) if why.contains("not preserved")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -408,6 +508,10 @@ mod tests {
         let aig = b.build();
         let err =
             check_certificate(&aig, &Certificate::default(), &CheckOptions::default()).unwrap_err();
+        assert!(matches!(err, CertCheckError::Invalid(ref why) if why.contains("after one step")));
+        let ts = TransitionSystem::from_aig(&aig);
+        let err =
+            check_invariant(&ts, &Certificate::default(), &CheckOptions::default()).unwrap_err();
         assert!(matches!(err, CertCheckError::Invalid(ref why) if why.contains("after one step")));
     }
 
@@ -440,6 +544,8 @@ mod tests {
             level: 1,
         };
         let err = check_certificate(&aig, &bogus, &CheckOptions::default()).unwrap_err();
+        assert!(matches!(err, CertCheckError::Invalid(ref why) if why.contains("non-state")));
+        let err = check_invariant(&ts, &bogus, &CheckOptions::default()).unwrap_err();
         assert!(matches!(err, CertCheckError::Invalid(ref why) if why.contains("non-state")));
     }
 

@@ -15,7 +15,9 @@
 //!   discharges initiation, consecution, and the property on the **original,
 //!   pre-preprocessing** circuit by composing through the preprocessing
 //!   [`plic3_prep::Reconstruction`]. [`check_certificate`] is the
-//!   no-preprocessing convenience wrapper.
+//!   no-preprocessing convenience wrapper, and [`check_invariant`] checks a
+//!   certificate on the transition system it was produced on. This is the
+//!   workspace's only inductive-invariant checker.
 //!
 //! See `docs/CERTIFICATES.md` for the proof formats and the soundness
 //! argument per tracer hook site.
@@ -28,5 +30,6 @@ mod invariant;
 
 pub use drat::{check_unsat_proof, DratStats};
 pub use invariant::{
-    check_certificate, check_certificate_on_original, CertCheckError, CertCheckReport, CheckOptions,
+    check_certificate, check_certificate_on_original, check_invariant, CertCheckError,
+    CertCheckReport, CheckOptions,
 };

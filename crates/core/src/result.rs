@@ -8,7 +8,7 @@ use std::fmt;
 /// A proof of safety: an inductive invariant strengthening the property.
 ///
 /// The invariant is the conjunction of the stored [`Clause`]s together with the
-/// property `P = ¬bad`; [`crate::verify_certificate`] checks the three
+/// property `P = ¬bad`; `plic3_check::check_invariant` checks the three
 /// conditions of Section 2.2 of the paper.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Certificate {

@@ -2,12 +2,11 @@
 //! generalization, literal ordering, core shrinking of predicted lemmas.
 
 use crate::report::{percent, TextTable};
-use crate::RunnerConfig;
-use plic3::{Config, GeneralizeMode, Ic3, LiteralOrdering};
-use plic3_benchmarks::Suite;
-use plic3_prep::preprocess;
-use plic3_ts::TransitionSystem;
-use std::time::{Duration, Instant};
+use crate::runner::run_cases;
+use crate::{ExperimentData, RunnerConfig};
+use plic3::{Config, GeneralizeMode, LiteralOrdering, Statistics};
+use plic3_benchmarks::{Benchmark, Suite};
+use std::time::Duration;
 
 /// One ablation variant: a named engine configuration.
 #[derive(Clone, Debug)]
@@ -60,8 +59,13 @@ pub fn default_variants() -> Vec<Variant> {
 pub struct Row {
     /// Variant name.
     pub name: String,
-    /// Cases solved within the budget.
+    /// Cases solved with a correct, independently verified verdict.
     pub solved: usize,
+    /// Cases whose verdict contradicts the ground truth (should be zero).
+    pub wrong: usize,
+    /// Solved cases whose proof or trace failed independent checking
+    /// (should be zero).
+    pub unverified: usize,
     /// Total runtime over all cases.
     pub total_time: Duration,
     /// Average `SR_adv` over cases where it is defined.
@@ -71,64 +75,56 @@ pub struct Row {
 }
 
 /// The ablation report.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Ablation {
     /// One row per variant.
     pub rows: Vec<Row>,
+    /// Every case behind the rows, variant-major, with the engine statistics.
+    pub cases: ExperimentData<Statistics>,
 }
 
 /// Runs every variant over the suite and collects the report.
+///
+/// The (variant × benchmark) cases go through the same pipeline and worker
+/// pool as [`crate::run_experiment`]: preprocessing, budgets, the watchdog,
+/// crash containment and the independent check of every verdict.
 pub fn run(suite: &Suite, variants: &[Variant], runner: &RunnerConfig) -> Ablation {
-    let mut rows = Vec::new();
-    for variant in variants {
-        let mut solved = 0usize;
-        let mut total_time = Duration::ZERO;
-        let mut adv = Vec::new();
-        let mut queries = 0u64;
-        for benchmark in suite {
-            let started = Instant::now();
-            // Same pipeline as the portfolio runner: preprocessing (when
-            // enabled) runs inside the measured window, and its cost is
-            // deducted from the engine's wall-clock budget so a case never
-            // exceeds `runner.timeout` overall.
-            let mut prep_time = Duration::ZERO;
-            let ts = if runner.preprocess {
-                let prep = preprocess(benchmark.aig());
-                prep_time = prep.stats.prep_time;
-                TransitionSystem::from_aig(&prep.aig)
-            } else {
-                benchmark.ts()
-            };
-            let mut config = variant
-                .config
-                .clone()
-                .with_max_time(runner.timeout.saturating_sub(prep_time));
-            config.limits.max_conflicts = runner.max_conflicts;
-            let mut engine = Ic3::new(ts, config);
-            let result = engine.check();
-            total_time += started.elapsed();
-            if !result.is_unknown() {
-                solved += 1;
+    let cases: Vec<(&Benchmark, Config)> = variants
+        .iter()
+        .flat_map(|variant| suite.iter().map(move |b| (b, variant.config.clone())))
+        .collect();
+    let results = run_cases(&cases, runner, runner.effective_workers());
+    let per_variant = suite.len();
+    let rows = variants
+        .iter()
+        .enumerate()
+        .map(|(i, variant)| {
+            let cases = &results[i * per_variant..(i + 1) * per_variant];
+            let adv: Vec<f64> = cases.iter().filter_map(|r| r.engine.sr_adv()).collect();
+            Row {
+                name: variant.name.clone(),
+                solved: cases
+                    .iter()
+                    .filter(|r| r.verdict.solved() && r.correct && r.verified)
+                    .count(),
+                wrong: cases.iter().filter(|r| !r.correct).count(),
+                unverified: cases
+                    .iter()
+                    .filter(|r| r.verdict.solved() && !r.verified)
+                    .count(),
+                total_time: cases.iter().map(|r| r.runtime).sum(),
+                avg_sr_adv: (!adv.is_empty()).then(|| adv.iter().sum::<f64>() / adv.len() as f64),
+                relative_queries: cases.iter().map(|r| r.engine.relative_queries).sum(),
             }
-            if let Some(rate) = engine.statistics().sr_adv() {
-                adv.push(rate);
-            }
-            queries += engine.statistics().relative_queries;
-        }
-        let avg_sr_adv = if adv.is_empty() {
-            None
-        } else {
-            Some(adv.iter().sum::<f64>() / adv.len() as f64)
-        };
-        rows.push(Row {
-            name: variant.name.clone(),
-            solved,
-            total_time,
-            avg_sr_adv,
-            relative_queries: queries,
-        });
+        })
+        .collect();
+    Ablation {
+        rows,
+        cases: ExperimentData {
+            results,
+            runner: Some(runner.clone()),
+        },
     }
-    Ablation { rows }
 }
 
 /// Renders the ablation report.
@@ -136,6 +132,8 @@ pub fn render(ablation: &Ablation) -> String {
     let mut text = TextTable::new(vec![
         "Variant".into(),
         "Solved".into(),
+        "Wrong".into(),
+        "Unverified".into(),
         "Total time (s)".into(),
         "Avg SR_adv".into(),
         "Relative queries".into(),
@@ -144,6 +142,8 @@ pub fn render(ablation: &Ablation) -> String {
         text.add_row(vec![
             row.name.clone(),
             row.solved.to_string(),
+            row.wrong.to_string(),
+            row.unverified.to_string(),
             format!("{:.3}", row.total_time.as_secs_f64()),
             percent(row.avg_sr_adv),
             row.relative_queries.to_string(),
@@ -168,8 +168,13 @@ mod tests {
         assert_eq!(report.rows.len(), variants.len());
         for row in &report.rows {
             assert_eq!(row.solved, suite.len(), "{} failed to solve", row.name);
+            assert_eq!((row.wrong, row.unverified), (0, 0), "{}", row.name);
             assert!(row.relative_queries > 0);
         }
+        // Every case went through the checked pipeline.
+        assert_eq!(report.cases.results.len(), suite.len() * variants.len());
+        assert_eq!(report.cases.solved(), suite.len() * variants.len());
+        assert_eq!(report.cases.cert_failures(), 0);
         // The prediction-free variant must not report a prediction rate.
         let no_pred = report
             .rows

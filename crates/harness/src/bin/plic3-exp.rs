@@ -39,7 +39,7 @@
 use plic3_benchmarks::Suite;
 use plic3_harness::{
     ablation, fig2, fig3, fig4, portfolio_run, run_experiment, run_portfolio_experiment, table1,
-    table2, Configuration, RunnerConfig,
+    table2, Configuration, ExperimentData, RunnerConfig,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -221,21 +221,11 @@ fn main() {
             runner.timeout
         );
         let data = run_portfolio_experiment(&suite, &runner);
-        if data.wrong_verdicts() > 0 || data.unverified() > 0 {
-            eprintln!(
-                "WARNING: {} wrong verdicts, {} certificate-check failures",
-                data.wrong_verdicts(),
-                data.unverified()
-            );
-        }
         let (worker_crashes, _) = data.worker_crash_totals();
-        if data.crashed() > 0 || worker_crashes > 0 {
-            eprintln!(
-                "WARNING: {} crashed cases, {} contained worker crashes",
-                data.crashed(),
-                worker_crashes
-            );
+        if worker_crashes > 0 {
+            eprintln!("WARNING: {worker_crashes} contained worker crashes");
         }
+        report_failures(&data, options.certify);
         println!("{}", portfolio_run::render(&data));
         write_csv(
             &options.csv_dir,
@@ -244,24 +234,28 @@ fn main() {
         );
         std::process::exit(exit_code(
             data.wrong_verdicts(),
-            data.unverified(),
+            data.cert_failures(),
             data.crashed() + worker_crashes,
         ));
     }
 
     if options.command == "ablation" {
-        // The ablation driver is sequential (it accumulates per-variant
-        // aggregates in order); --jobs does not apply to it.
         let variants = ablation::default_variants();
         eprintln!(
-            "running {} instances x {} ablation variants sequentially (per-case timeout {:?})",
+            "running {} instances x {} ablation variants on {} workers (per-case timeout {:?})",
             suite.len(),
             variants.len(),
+            runner.effective_workers(),
             runner.timeout
         );
         let report = ablation::run(&suite, &variants, &runner);
+        report_failures(&report.cases, options.certify);
         println!("{}", ablation::render(&report));
-        return;
+        std::process::exit(exit_code(
+            report.cases.wrong_verdicts(),
+            report.cases.cert_failures(),
+            report.cases.crashed(),
+        ));
     }
 
     eprintln!(
@@ -272,31 +266,7 @@ fn main() {
     );
 
     let data = run_experiment(&suite, &Configuration::all(), &runner);
-    if data.wrong_verdicts() > 0 {
-        eprintln!(
-            "WARNING: {} runs returned a verdict contradicting the ground truth",
-            data.wrong_verdicts()
-        );
-    }
-    // Failure taxonomy of the suite: budget trips degrade to `memout`,
-    // contained panics to `crashed` — neither is ever a wrong verdict.
-    // Certificate-check failures get their own count (and exit code): a
-    // solved case whose proof artifact fails independent checking must fail
-    // CI loudly even when the verdict itself agrees with the ground truth.
-    eprintln!(
-        "failures: {} memout, {} crashed, {} certificate-check failures across {} cases",
-        data.memouts(),
-        data.crashed(),
-        data.cert_failures(),
-        data.results.len()
-    );
-    if options.certify {
-        eprintln!(
-            "certify: checked every Safe certificate on the original circuit \
-             ({:?} total check time)",
-            data.cert_time()
-        );
-    }
+    report_failures(&data, options.certify);
 
     let want = |name: &str| options.command == "all" || options.command == name;
     if want("table1") {
@@ -329,6 +299,34 @@ fn main() {
         data.cert_failures(),
         data.crashed(),
     ));
+}
+
+/// Prints the failure taxonomy of a finished run on stderr. Budget trips
+/// degrade to `memout` and contained panics to `crashed`; neither is ever a
+/// wrong verdict. Certificate-check failures get their own count (and exit
+/// code): a solved case whose proof artifact fails independent checking must
+/// fail CI loudly even when the verdict itself agrees with the ground truth.
+fn report_failures<R>(data: &ExperimentData<R>, certify: bool) {
+    if data.wrong_verdicts() > 0 {
+        eprintln!(
+            "WARNING: {} runs returned a verdict contradicting the ground truth",
+            data.wrong_verdicts()
+        );
+    }
+    eprintln!(
+        "failures: {} memout, {} crashed, {} certificate-check failures across {} cases",
+        data.memouts(),
+        data.crashed(),
+        data.cert_failures(),
+        data.results.len()
+    );
+    if certify {
+        eprintln!(
+            "certify: checked every Safe certificate on the original circuit \
+             ({:?} total check time)",
+            data.cert_time()
+        );
+    }
 }
 
 /// Exit code of a finished run: `1` for wrong verdicts (the gravest failure),

@@ -88,7 +88,7 @@ pub fn build(data: &ExperimentData, fast_threshold: Duration) -> Fig4 {
                 filtered_out += 1;
                 continue;
             }
-            let Some(sr_adv) = pl_result.stats.sr_adv() else {
+            let Some(sr_adv) = pl_result.engine.stats.sr_adv() else {
                 filtered_out += 1;
                 continue;
             };

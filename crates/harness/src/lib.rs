@@ -55,5 +55,5 @@ pub use portfolio_run::{
 };
 pub use runner::{
     run_case, run_experiment, run_experiment_with_workers, CaseResult, Configuration,
-    ExperimentData, RunnerConfig, Verdict,
+    ExperimentData, Ic3Run, RunnerConfig, Verdict,
 };

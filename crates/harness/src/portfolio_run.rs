@@ -6,24 +6,20 @@
 //! one case*: every benchmark is handed to a [`Portfolio`] that runs BMC,
 //! k-induction and several IC3 variants on the same instance, first
 //! conclusive verdict wins. The two layers nest through a thread-budget
-//! split — see [`ThreadBudget`].
+//! split — see [`ThreadBudget`]. Each race is one engine of the shared case
+//! pipeline and worker pool (see the `runner` module), so preprocessing,
+//! checking and crash containment are the single-engine ones.
 
-use crate::runner::{panic_message, RunnerConfig, Verdict, Watchdog};
+use crate::runner::{run_case_on, run_cases, CaseEngine, CaseResult, ExperimentData};
+use crate::RunnerConfig;
 use plic3::{ResourceBudget, StopFlag, UnknownReason};
-use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
-use plic3_check::{CertCheckError, CheckOptions};
+use plic3_benchmarks::{Benchmark, Suite};
 use plic3_portfolio::{
-    default_workers, verify_safety_proof, ExchangeStats, Portfolio, PortfolioConfig,
-    PortfolioResult, WorkerReport,
+    default_workers, ExchangeStats, Portfolio, PortfolioConfig, PortfolioOutcome, PortfolioResult,
 };
-use plic3_prep::{Preprocessor, Reconstruction};
 use plic3_ts::TransitionSystem;
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a total thread budget (`plic3-exp --jobs`) is split between concurrent
 /// cases and the workers racing inside each case.
@@ -53,100 +49,23 @@ impl ThreadBudget {
     }
 }
 
-/// The outcome of one benchmark under the portfolio engine.
-#[derive(Clone, Debug)]
-pub struct PortfolioCaseResult {
-    /// Benchmark instance name.
-    pub benchmark: String,
-    /// Benchmark family.
-    pub family: String,
-    /// Ground-truth expectation.
-    pub expected: ExpectedResult,
-    /// The verdict reached.
-    pub verdict: Verdict,
-    /// Whether the verdict matches the ground truth (`true` for `Unknown`).
-    pub correct: bool,
-    /// Whether the winning proof / counterexample passed independent checking
-    /// (`Unsafe` traces replay on the **original**, pre-preprocessing
-    /// circuit).
-    pub verified: bool,
-    /// Wall-clock runtime of the case, *including* preprocessing time.
-    pub runtime: Duration,
-    /// Time spent in the preprocessing pipeline.
-    pub prep_time: Duration,
-    /// Label of the winning worker (`None` for `Unknown`).
-    pub winner: Option<String>,
-    /// Per-worker reports of the race (status, runtime, engine statistics).
-    pub workers: Vec<WorkerReport>,
-    /// Lemma-exchange traffic of the race.
-    pub exchange: ExchangeStats,
-    /// Foreign lemmas adopted across the IC3 workers (after re-checking).
-    pub lemmas_imported: u64,
-    /// Foreign lemmas rejected by the re-checks.
-    pub lemmas_rejected: u64,
-    /// Worker slots that panicked at least once during the race (each crash
-    /// was contained by the portfolio supervisor).
-    pub worker_crashes: usize,
-    /// Worker slots the supervisor restarted under the conservative fallback
-    /// configuration after a first panic.
-    pub worker_restarts: usize,
-    /// Stringified panic payload when the whole case crashed *outside* the
-    /// portfolio's own containment (e.g. during preprocessing); `None`
-    /// otherwise.
-    pub crash: Option<String>,
-}
+/// The outcome of one benchmark under the portfolio engine; the race's
+/// [`PortfolioOutcome`] (winner, per-worker reports, lemma exchange) is its
+/// [`CaseResult::engine`].
+pub type PortfolioCaseResult = CaseResult<PortfolioOutcome>;
 
 /// All results of a portfolio experiment, in suite order.
-#[derive(Clone, Debug, Default)]
-pub struct PortfolioData {
-    /// One entry per benchmark.
-    pub results: Vec<PortfolioCaseResult>,
-    /// The thread-budget split that was used.
-    pub budget: Option<ThreadBudget>,
-}
+pub type PortfolioData = ExperimentData<PortfolioOutcome>;
 
 impl PortfolioData {
-    /// Number of solved cases (safe or unsafe).
-    pub fn solved(&self) -> usize {
-        self.results.iter().filter(|r| r.verdict.solved()).count()
-    }
-
-    /// Number of wrong verdicts (should always be zero).
-    pub fn wrong_verdicts(&self) -> usize {
-        self.results.iter().filter(|r| !r.correct).count()
-    }
-
-    /// Number of solved cases whose proof/trace failed re-checking (should
-    /// always be zero).
-    pub fn unverified(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict.solved() && !r.verified)
-            .count()
-    }
-
-    /// Number of cases that ended as [`Verdict::MemOut`].
-    pub fn memouts(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict == Verdict::MemOut)
-            .count()
-    }
-
-    /// Number of cases that crashed outside the portfolio's containment
-    /// ([`Verdict::Crashed`]).
-    pub fn crashed(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict == Verdict::Crashed)
-            .count()
-    }
-
     /// Total worker crashes contained by the portfolio supervisors, with the
     /// number of supervised restarts, summed over all cases.
     pub fn worker_crash_totals(&self) -> (usize, usize) {
         self.results.iter().fold((0, 0), |(c, r), case| {
-            (c + case.worker_crashes, r + case.worker_restarts)
+            (
+                c + case.engine.worker_crashes(),
+                r + case.engine.worker_restarts(),
+            )
         })
     }
 
@@ -154,12 +73,12 @@ impl PortfolioData {
     pub fn winner_histogram(&self) -> Vec<(String, usize)> {
         let mut wins: Vec<(String, usize)> = Vec::new();
         for result in &self.results {
-            let Some(winner) = &result.winner else {
+            let Some(winner) = result.engine.winner_label() else {
                 continue;
             };
             match wins.iter_mut().find(|(label, _)| label == winner) {
                 Some((_, count)) => *count += 1,
-                None => wins.push((winner.clone(), 1)),
+                None => wins.push((winner.to_string(), 1)),
             }
         }
         wins.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -171,12 +90,59 @@ impl PortfolioData {
         let mut totals = ExchangeStats::default();
         let (mut imported, mut rejected) = (0, 0);
         for r in &self.results {
-            totals.published += r.exchange.published;
-            totals.dropped += r.exchange.dropped;
-            imported += r.lemmas_imported;
-            rejected += r.lemmas_rejected;
+            totals.published += r.engine.exchange.published;
+            totals.dropped += r.engine.exchange.dropped;
+            imported += r.engine.lemmas_imported();
+            rejected += r.engine.lemmas_rejected();
         }
         (totals, imported, rejected)
+    }
+}
+
+/// A portfolio race over `threads` worker threads, as the engine of a case.
+struct Race {
+    threads: usize,
+}
+
+impl CaseEngine for Race {
+    type Report = PortfolioOutcome;
+
+    fn check(
+        &self,
+        ts: TransitionSystem,
+        runner: &RunnerConfig,
+        max_time: Duration,
+        stop: StopFlag,
+        budget: ResourceBudget,
+    ) -> (PortfolioResult, PortfolioOutcome) {
+        // The portfolio splits the case's memory budget into per-worker
+        // sub-budgets.
+        let mut config = PortfolioConfig {
+            threads: self.threads,
+            stop,
+            budget,
+            faults: runner.faults.clone(),
+            // With --certify the portfolio additionally vets every Safe claim
+            // at winner-claim time, so a poisoned proof is demoted to a worker
+            // crash instead of ever becoming the race verdict.
+            certify: runner.certify,
+            ..PortfolioConfig::default()
+        };
+        config.limits.max_time = Some(max_time);
+        config.limits.max_conflicts = runner.max_conflicts;
+        let outcome = Portfolio::new(ts, config).check();
+        (outcome.result.clone(), outcome)
+    }
+
+    /// A race that never ran: no winner, no workers, no traffic.
+    fn crashed(&self) -> PortfolioOutcome {
+        PortfolioOutcome {
+            result: PortfolioResult::Unknown(UnknownReason::Cancelled),
+            winner: None,
+            workers: Vec::new(),
+            exchange: ExchangeStats::default(),
+            runtime: Duration::ZERO,
+        }
     }
 }
 
@@ -189,136 +155,10 @@ pub fn run_portfolio_case(
     workers_per_case: usize,
     stop: StopFlag,
 ) -> PortfolioCaseResult {
-    let started = Instant::now();
-    // One fresh memory budget per case; the portfolio splits it into
-    // per-worker sub-budgets.
-    let budget = runner
-        .max_memory
-        .map_or_else(ResourceBudget::unlimited, ResourceBudget::with_limit);
-    // Preprocessing runs inside the measured window, exactly as in the
-    // single-engine `run_case`, under the same stop flag / budget / fault
-    // plan; the witness map replays `Unsafe` traces on the original circuit.
-    let prep = runner.preprocess.then(|| {
-        Preprocessor::default().run_under(benchmark.aig(), &stop, &budget, &runner.faults)
-    });
-    let ts = match &prep {
-        Some(p) => TransitionSystem::from_aig(&p.aig),
-        None => benchmark.ts(),
-    };
-    let prep_time = prep.as_ref().map_or(Duration::ZERO, |p| p.stats.prep_time);
-    // Kept for the certificate check below: the portfolio takes ownership of
-    // `stop`, and the checker must observe the same watchdog.
-    let case_stop = stop.clone();
-    let mut config = PortfolioConfig {
+    let race = Race {
         threads: workers_per_case,
-        stop,
-        budget,
-        faults: runner.faults.clone(),
-        // With --certify the portfolio additionally vets every Safe claim at
-        // winner-claim time, so a poisoned proof is demoted to a worker crash
-        // instead of ever becoming the race verdict.
-        certify: runner.certify,
-        ..PortfolioConfig::default()
     };
-    config.limits.max_time = Some(runner.timeout.saturating_sub(prep_time));
-    config.limits.max_conflicts = runner.max_conflicts;
-    let mut portfolio = Portfolio::new(ts, config);
-    let outcome = portfolio.check();
-    let runtime = started.elapsed();
-    let (verdict, verified) = match &outcome.result {
-        PortfolioResult::Safe(proof) => {
-            let mut verified = verify_safety_proof(portfolio.ts(), proof).is_ok();
-            // The stronger --certify check replays certificate-backed proofs
-            // on the original, pre-preprocessing circuit (k-induction winners
-            // have no certificate; they are fully re-derived above). A check
-            // the watchdog interrupts stays unproven, not failed.
-            if verified && runner.certify {
-                if let Some(cert) = outcome.result.certificate() {
-                    let identity = Reconstruction::identity(
-                        benchmark.aig().num_inputs(),
-                        benchmark.aig().num_latches(),
-                    );
-                    let recon = prep.as_ref().map_or(&identity, |p| &p.reconstruction);
-                    let options = CheckOptions {
-                        stop: Some(case_stop.clone()),
-                        drat: false,
-                    };
-                    verified = match plic3_check::check_certificate_on_original(
-                        benchmark.aig(),
-                        recon,
-                        portfolio.ts(),
-                        cert,
-                        &options,
-                    ) {
-                        Ok(_) | Err(CertCheckError::Interrupted) => true,
-                        Err(CertCheckError::Invalid(_)) => false,
-                    };
-                }
-            }
-            (Verdict::Safe, verified)
-        }
-        PortfolioResult::Unsafe(trace) => {
-            let replays = match &prep {
-                Some(p) => p.replay_on_original(portfolio.ts(), trace),
-                None => plic3::verify_trace(portfolio.ts(), benchmark.aig(), trace),
-            };
-            (Verdict::Unsafe, replays)
-        }
-        PortfolioResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
-        PortfolioResult::Unknown(_) => (Verdict::Unknown, true),
-    };
-    let correct = matches!(
-        (verdict, benchmark.expected()),
-        (Verdict::Safe, ExpectedResult::Safe)
-            | (Verdict::Unsafe, ExpectedResult::Unsafe { .. })
-            | (Verdict::Unknown | Verdict::MemOut | Verdict::Crashed, _)
-    );
-    PortfolioCaseResult {
-        benchmark: benchmark.name().to_string(),
-        family: benchmark.family().to_string(),
-        expected: benchmark.expected(),
-        verdict,
-        correct,
-        verified,
-        runtime,
-        prep_time,
-        winner: outcome.winner_label().map(str::to_string),
-        exchange: outcome.exchange,
-        lemmas_imported: outcome.lemmas_imported(),
-        lemmas_rejected: outcome.lemmas_rejected(),
-        worker_crashes: outcome.worker_crashes(),
-        worker_restarts: outcome.worker_restarts(),
-        workers: outcome.workers,
-        crash: None,
-    }
-}
-
-/// The synthetic result of a portfolio case that panicked outside the
-/// portfolio's own containment (e.g. in preprocessing): contained here, at
-/// the case level, so the rest of the suite keeps running.
-fn crashed_portfolio_case(
-    benchmark: &Benchmark,
-    payload: String,
-    runtime: Duration,
-) -> PortfolioCaseResult {
-    PortfolioCaseResult {
-        benchmark: benchmark.name().to_string(),
-        family: benchmark.family().to_string(),
-        expected: benchmark.expected(),
-        verdict: Verdict::Crashed,
-        correct: true,
-        verified: true,
-        runtime,
-        prep_time: Duration::ZERO,
-        winner: None,
-        workers: Vec::new(),
-        exchange: ExchangeStats::default(),
-        lemmas_imported: 0,
-        lemmas_rejected: 0,
-        worker_crashes: 0,
-        worker_restarts: 0,
-        crash: Some(payload),
-    }
+    run_case_on(benchmark, &race, runner, stop)
 }
 
 /// The thread-budget split [`run_portfolio_experiment`] will use for this
@@ -338,56 +178,18 @@ pub fn experiment_thread_budget(runner: &RunnerConfig) -> ThreadBudget {
 /// are not).
 pub fn run_portfolio_experiment(suite: &Suite, runner: &RunnerConfig) -> PortfolioData {
     let budget = experiment_thread_budget(runner);
-    let benchmarks: Vec<&Benchmark> = suite.iter().collect();
-    let total = benchmarks.len();
-    let mut results: Vec<Option<PortfolioCaseResult>> = Vec::new();
-    results.resize_with(total, || None);
-    let next_case = AtomicUsize::new(0);
-    let watchdog = Watchdog::new();
-    let (tx, rx) = mpsc::channel::<(usize, PortfolioCaseResult)>();
-    thread::scope(|scope| {
-        let watchdog = &watchdog;
-        let benchmarks = &benchmarks;
-        let next_case = &next_case;
-        scope.spawn(move || watchdog.run());
-        for _ in 0..budget.concurrent_cases.min(total.max(1)) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let index = next_case.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    return;
-                }
-                let stop = StopFlag::new();
-                let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
-                let case_started = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_portfolio_case(benchmarks[index], runner, budget.workers_per_case, stop)
-                }))
-                .unwrap_or_else(|payload| {
-                    crashed_portfolio_case(
-                        benchmarks[index],
-                        panic_message(payload),
-                        case_started.elapsed(),
-                    )
-                });
-                watchdog.disarm(token);
-                if tx.send((index, result)).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(tx);
-        for (index, result) in rx {
-            results[index] = Some(result);
-        }
-        watchdog.shutdown();
-    });
+    let cases: Vec<(&Benchmark, Race)> = suite
+        .iter()
+        .map(|benchmark| {
+            let race = Race {
+                threads: budget.workers_per_case,
+            };
+            (benchmark, race)
+        })
+        .collect();
     PortfolioData {
-        results: results
-            .into_iter()
-            .map(|result| result.expect("every case reports exactly once"))
-            .collect(),
-        budget: Some(budget),
+        results: run_cases(&cases, runner, budget.concurrent_cases),
+        runner: Some(runner.clone()),
     }
 }
 
@@ -406,9 +208,9 @@ pub fn render(data: &PortfolioData) -> String {
             r.benchmark,
             r.verdict.to_string(),
             r.runtime.as_secs_f64(),
-            r.winner.as_deref().unwrap_or("-"),
-            r.lemmas_imported,
-            r.lemmas_rejected,
+            r.engine.winner_label().unwrap_or("-"),
+            r.engine.lemmas_imported(),
+            r.engine.lemmas_rejected(),
         );
     }
     let (exchange, imported, rejected) = data.exchange_totals();
@@ -418,7 +220,7 @@ pub fn render(data: &PortfolioData) -> String {
         data.solved(),
         data.results.len(),
         data.wrong_verdicts(),
-        data.unverified()
+        data.cert_failures()
     );
     let (worker_crashes, worker_restarts) = data.worker_crash_totals();
     let _ = writeln!(
@@ -429,7 +231,7 @@ pub fn render(data: &PortfolioData) -> String {
         worker_crashes,
         worker_restarts
     );
-    if let Some(budget) = data.budget {
+    if let Some(budget) = data.runner.as_ref().map(experiment_thread_budget) {
         let _ = writeln!(
             out,
             "thread budget: {} workers/case x {} concurrent cases",
@@ -469,11 +271,11 @@ pub fn to_csv(data: &PortfolioData) -> String {
             r.verified,
             r.runtime.as_secs_f64(),
             r.prep_time.as_secs_f64(),
-            r.winner.as_deref().unwrap_or(""),
-            r.lemmas_imported,
-            r.lemmas_rejected,
-            r.worker_crashes,
-            r.worker_restarts,
+            r.engine.winner_label().unwrap_or(""),
+            r.engine.lemmas_imported(),
+            r.engine.lemmas_rejected(),
+            r.engine.worker_crashes(),
+            r.engine.worker_restarts(),
         );
     }
     out
@@ -518,7 +320,7 @@ mod tests {
         let data = run_portfolio_experiment(&suite, &tiny_runner());
         assert_eq!(data.results.len(), suite.len());
         assert_eq!(data.wrong_verdicts(), 0);
-        assert_eq!(data.unverified(), 0);
+        assert_eq!(data.cert_failures(), 0);
         assert_eq!(data.solved(), suite.len(), "budget is ample for these");
         // Results come back in suite order.
         let names: Vec<&str> = data.results.iter().map(|r| r.benchmark.as_str()).collect();
@@ -530,23 +332,5 @@ mod tests {
         assert!(rendered.contains("lemma exchange"));
         let csv = to_csv(&data);
         assert_eq!(csv.lines().count(), suite.len() + 1);
-    }
-
-    #[test]
-    fn expired_watchdog_budget_yields_unknowns_not_wrong_verdicts() {
-        let suite = Suite::quick().filter(|b| b.family() == "fifo");
-        assert!(!suite.is_empty());
-        let runner = RunnerConfig {
-            timeout: Duration::from_millis(1),
-            max_conflicts: None,
-            ..RunnerConfig::default()
-        };
-        let started = Instant::now();
-        let data = run_portfolio_experiment(&suite, &runner);
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "cancellation failed to bound the run"
-        );
-        assert_eq!(data.wrong_verdicts(), 0);
     }
 }

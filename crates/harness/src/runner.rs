@@ -1,17 +1,28 @@
-//! Resource-limited execution of the benchmark suite under the paper's
-//! configurations.
+//! Resource-limited execution of the benchmark suite: one case pipeline and
+//! one worker pool for every engine.
 //!
-//! [`run_experiment`] is a **portfolio runner**: the (benchmark ×
-//! configuration) cases are fanned out over a pool of worker threads, a
+//! A *case* is one benchmark under one engine: an IC3 configuration or a
+//! portfolio race. [`run_case`] and [`crate::run_portfolio_case`] run a case
+//! through the same pipeline: a fresh memory budget, preprocessing, encoding,
+//! the engine, the independent check of its answer (the certificate on the
+//! system the engine ran on and, with [`RunnerConfig::certify`], on the
+//! original circuit; the trace by replay on the original circuit), and the
+//! comparison with the ground truth.
+//!
+//! [`run_experiment`], [`crate::run_portfolio_experiment`] and
+//! [`crate::ablation::run`] fan their cases out over one worker pool: a
 //! watchdog thread raises each case's [`StopFlag`] when its wall-clock budget
-//! expires (interrupting even a single long SAT query), and the results are
-//! reassembled in benchmark-major order so the collected [`ExperimentData`] —
-//! and therefore every table and figure built from it — is independent of
+//! expires (interrupting even a single long SAT query), a panicking case is
+//! recorded as [`Verdict::Crashed`], and the results are reassembled in case
+//! order, so every table and figure built from them is independent of
 //! scheduling.
 
-use plic3::{Config, FaultPlan, Ic3, ResourceBudget, Statistics, StopFlag, UnknownReason};
+use plic3::{
+    CheckResult, Config, FaultPlan, Ic3, ResourceBudget, Statistics, StopFlag, UnknownReason,
+};
 use plic3_benchmarks::{Benchmark, ExpectedResult, Suite};
-use plic3_check::{CertCheckError, CheckOptions};
+use plic3_check::{check_certificate_on_original, CertCheckError, CheckOptions};
+use plic3_portfolio::{verify_safety_proof, PortfolioResult, SafetyProof};
 use plic3_prep::{Preprocessor, Reconstruction};
 use plic3_ts::TransitionSystem;
 use std::fmt;
@@ -169,11 +180,12 @@ pub struct RunnerConfig {
     pub faults: FaultPlan,
     /// Check every `Safe` certificate on the **original, pre-preprocessing**
     /// circuit with [`plic3_check::check_certificate_on_original`] (inverting
-    /// the witness maps), in addition to the always-on engine-side
-    /// verification. The check runs inside the case's watchdogged window and
-    /// its time is reported in [`CaseResult::cert_time`]; a check interrupted
-    /// by the watchdog is *not* counted as a failure. Off by default;
-    /// `plic3-exp --certify` enables it.
+    /// the witness maps), in addition to the always-on check on the system
+    /// the engine ran on. Under the portfolio engine, every worker's proof is
+    /// also vetted before it may win the race. The check runs inside the
+    /// case's watchdogged window and its time is reported in
+    /// [`CaseResult::cert_time`]; a check interrupted by the watchdog is *not*
+    /// counted as a failure. Off by default; `plic3-exp --certify` enables it.
     pub certify: bool,
 }
 
@@ -206,17 +218,20 @@ impl RunnerConfig {
     }
 }
 
-/// The outcome and statistics of one (configuration, benchmark) run.
+/// The outcome of one case: a benchmark under one engine.
+///
+/// Every engine reports the same fields; [`CaseResult::engine`] holds what
+/// the engine reported beside its verdict: an [`Ic3Run`] for the paper's
+/// configurations, the race's [`plic3_portfolio::PortfolioOutcome`] for the
+/// portfolio engine.
 #[derive(Clone, Debug)]
-pub struct CaseResult {
+pub struct CaseResult<R = Ic3Run> {
     /// Benchmark instance name.
     pub benchmark: String,
     /// Benchmark family.
     pub family: String,
     /// Ground-truth expectation.
     pub expected: ExpectedResult,
-    /// The configuration that ran.
-    pub configuration: Configuration,
     /// The verdict reached.
     pub verdict: Verdict,
     /// Whether the verdict matches the ground truth (`true` for `Unknown`).
@@ -229,29 +244,81 @@ pub struct CaseResult {
     /// disabled), so reports can account for it separately.
     pub prep_time: Duration,
     /// Time spent checking the certificate on the original circuit (zero
-    /// unless [`RunnerConfig::certify`] is on and the case ended `Safe`).
+    /// unless [`RunnerConfig::certify`] is on and the case ended `Safe` with a
+    /// certificate).
     pub cert_time: Duration,
-    /// Engine statistics (including the prediction counters).
-    pub stats: Statistics,
     /// Stringified panic payload when the case crashed (see
     /// [`Verdict::Crashed`]); `None` for every other verdict.
     pub crash: Option<String>,
+    /// What the engine reported beside its verdict.
+    pub engine: R,
 }
 
-impl CaseResult {
+impl<R> CaseResult<R> {
     /// Runtime in seconds, with timeouts reported as the full budget.
     pub fn runtime_secs(&self) -> f64 {
         self.runtime.as_secs_f64()
     }
 }
 
+/// What one IC3 run under a paper configuration reports.
+#[derive(Clone, Copy, Debug)]
+pub struct Ic3Run {
+    /// The configuration that ran.
+    pub configuration: Configuration,
+    /// Engine statistics (including the prediction counters).
+    pub stats: Statistics,
+}
+
 /// All results of an experiment run.
-#[derive(Clone, Debug, Default)]
-pub struct ExperimentData {
-    /// One entry per (configuration, benchmark) pair.
-    pub results: Vec<CaseResult>,
+#[derive(Clone, Debug)]
+pub struct ExperimentData<R = Ic3Run> {
+    /// One entry per case, in case order.
+    pub results: Vec<CaseResult<R>>,
     /// The per-case budgets used.
     pub runner: Option<RunnerConfig>,
+}
+
+impl<R> ExperimentData<R> {
+    fn count(&self, pick: impl Fn(&CaseResult<R>) -> bool) -> usize {
+        self.results.iter().filter(|r| pick(r)).count()
+    }
+
+    /// Number of solved cases (safe or unsafe).
+    pub fn solved(&self) -> usize {
+        self.count(|r| r.verdict.solved())
+    }
+
+    /// Number of wrong verdicts (should always be zero).
+    pub fn wrong_verdicts(&self) -> usize {
+        self.count(|r| !r.correct)
+    }
+
+    /// Number of cases that ended as [`Verdict::MemOut`].
+    pub fn memouts(&self) -> usize {
+        self.count(|r| r.verdict == Verdict::MemOut)
+    }
+
+    /// Number of cases that ended as [`Verdict::Crashed`] (panic contained by
+    /// the runner).
+    pub fn crashed(&self) -> usize {
+        self.count(|r| r.verdict == Verdict::Crashed)
+    }
+
+    /// Number of solved cases whose proof artifact failed independent
+    /// checking: a `Safe` proof rejected by the checker (on the system the
+    /// engine ran on, or — under [`RunnerConfig::certify`] — on the original
+    /// circuit) or an `Unsafe` trace that does not replay. Should always be
+    /// zero; `plic3-exp` exits with a dedicated code when it is not.
+    pub fn cert_failures(&self) -> usize {
+        self.count(|r| r.verdict.solved() && !r.verified)
+    }
+
+    /// Total wall-clock time spent in certificate checks on the original
+    /// circuit (zero unless [`RunnerConfig::certify`] was on).
+    pub fn cert_time(&self) -> Duration {
+        self.results.iter().map(|r| r.cert_time).sum()
+    }
 }
 
 impl ExperimentData {
@@ -259,7 +326,7 @@ impl ExperimentData {
     pub fn for_configuration(&self, config: Configuration) -> Vec<&CaseResult> {
         self.results
             .iter()
-            .filter(|r| r.configuration == config)
+            .filter(|r| r.engine.configuration == config)
             .collect()
     }
 
@@ -267,81 +334,123 @@ impl ExperimentData {
     pub fn result_of(&self, config: Configuration, benchmark: &str) -> Option<&CaseResult> {
         self.results
             .iter()
-            .find(|r| r.configuration == config && r.benchmark == benchmark)
+            .find(|r| r.engine.configuration == config && r.benchmark == benchmark)
     }
 
     /// All configurations present in the data, in first-seen order.
     pub fn configurations(&self) -> Vec<Configuration> {
         let mut seen = Vec::new();
         for r in &self.results {
-            if !seen.contains(&r.configuration) {
-                seen.push(r.configuration);
+            if !seen.contains(&r.engine.configuration) {
+                seen.push(r.engine.configuration);
             }
         }
         seen
     }
+}
 
-    /// Number of wrong verdicts (should always be zero).
-    pub fn wrong_verdicts(&self) -> usize {
-        self.results.iter().filter(|r| !r.correct).count()
+/// An engine the case pipeline can run: an IC3 configuration or a portfolio
+/// race.
+pub(crate) trait CaseEngine: Sync {
+    /// What the engine reports beside its verdict.
+    type Report: Send;
+
+    /// Runs on `ts` under the case's budgets: at most `max_time` of wall
+    /// clock, cancelled through `stop`, charging `budget`. A `Safe` verdict
+    /// comes back with the proof to check.
+    fn check(
+        &self,
+        ts: TransitionSystem,
+        runner: &RunnerConfig,
+        max_time: Duration,
+        stop: StopFlag,
+        budget: ResourceBudget,
+    ) -> (PortfolioResult, Self::Report);
+
+    /// The report of a case that crashed before the engine reported.
+    fn crashed(&self) -> Self::Report;
+}
+
+impl CaseEngine for Config {
+    type Report = Statistics;
+
+    fn check(
+        &self,
+        ts: TransitionSystem,
+        runner: &RunnerConfig,
+        max_time: Duration,
+        stop: StopFlag,
+        budget: ResourceBudget,
+    ) -> (PortfolioResult, Statistics) {
+        let mut config = self
+            .clone()
+            .with_max_time(max_time)
+            .with_stop_flag(stop)
+            .with_budget(budget)
+            .with_fault_plan(runner.faults.clone());
+        config.limits.max_conflicts = runner.max_conflicts;
+        let mut engine = Ic3::new(ts, config);
+        let answer = match engine.check() {
+            CheckResult::Safe(cert) => PortfolioResult::Safe(SafetyProof::Invariant(cert)),
+            CheckResult::Unsafe(trace) => PortfolioResult::Unsafe(trace),
+            CheckResult::Unknown(reason) => PortfolioResult::Unknown(reason),
+        };
+        (answer, *engine.statistics())
     }
 
-    /// Number of cases that ended as [`Verdict::MemOut`].
-    pub fn memouts(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict == Verdict::MemOut)
-            .count()
+    fn crashed(&self) -> Statistics {
+        Statistics::default()
+    }
+}
+
+impl CaseEngine for Configuration {
+    type Report = Ic3Run;
+
+    fn check(
+        &self,
+        ts: TransitionSystem,
+        runner: &RunnerConfig,
+        max_time: Duration,
+        stop: StopFlag,
+        budget: ResourceBudget,
+    ) -> (PortfolioResult, Ic3Run) {
+        let (answer, stats) = self.to_config().check(ts, runner, max_time, stop, budget);
+        let run = Ic3Run {
+            configuration: *self,
+            stats,
+        };
+        (answer, run)
     }
 
-    /// Number of cases that ended as [`Verdict::Crashed`] (panic contained by
-    /// the runner).
-    pub fn crashed(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict == Verdict::Crashed)
-            .count()
-    }
-
-    /// Number of solved cases whose proof artifact failed independent
-    /// checking: a `Safe` certificate rejected by the checker (on the
-    /// simplified circuit, or — under [`RunnerConfig::certify`] — on the
-    /// original one) or an `Unsafe` trace that does not replay. Should always
-    /// be zero; `plic3-exp` exits with a dedicated code when it is not.
-    pub fn cert_failures(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.verdict.solved() && !r.verified)
-            .count()
-    }
-
-    /// Total wall-clock time spent in certificate checks (zero unless
-    /// [`RunnerConfig::certify`] was on).
-    pub fn cert_time(&self) -> Duration {
-        self.results.iter().map(|r| r.cert_time).sum()
+    fn crashed(&self) -> Ic3Run {
+        Ic3Run {
+            configuration: *self,
+            stats: Statistics::default(),
+        }
     }
 }
 
 /// Runs a single benchmark under a single configuration with the given budgets.
 ///
 /// The wall-clock budget is enforced cooperatively by the engine between SAT
-/// queries; inside the portfolio runner the case additionally gets a watchdog
-/// that interrupts long-running queries through the shared [`StopFlag`].
+/// queries; inside [`run_experiment`] the case additionally gets a watchdog
+/// that interrupts long-running queries through its [`StopFlag`].
 pub fn run_case(
     benchmark: &Benchmark,
     configuration: Configuration,
     runner: &RunnerConfig,
 ) -> CaseResult {
-    run_case_with_stop(benchmark, configuration, runner, StopFlag::new())
+    run_case_on(benchmark, &configuration, runner, StopFlag::new())
 }
 
-/// [`run_case`] with an externally owned cancellation flag.
-fn run_case_with_stop(
+/// The case pipeline (see the module docs): runs `engine` on `benchmark`
+/// under the budgets of `runner`, cancelled through `stop`.
+pub(crate) fn run_case_on<E: CaseEngine>(
     benchmark: &Benchmark,
-    configuration: Configuration,
+    engine: &E,
     runner: &RunnerConfig,
     stop: StopFlag,
-) -> CaseResult {
+) -> CaseResult<E::Report> {
     let started = Instant::now();
     // One fresh memory budget per case, shared by preprocessing and the
     // engine, so the whole case — not each phase — stays under the limit.
@@ -350,14 +459,11 @@ fn run_case_with_stop(
         .map_or_else(ResourceBudget::unlimited, ResourceBudget::with_limit);
     // The preprocessing pipeline runs inside the measured window: its cost is
     // part of the case's runtime, and its `Reconstruction` is what maps
-    // counterexamples back onto the original circuit. It runs under the same
-    // stop flag, budget and fault plan as the engine, so a watchdog firing
+    // witnesses back onto the original circuit. It runs under the same stop
+    // flag, budget and fault plan as the engine, so a watchdog firing
     // mid-prep (or the budget tripping there) cancels the pipeline between
     // rounds and the engine then returns `Unknown` immediately — the case as
     // a whole never exceeds `runner.timeout`.
-    // Kept for the certificate check: the engine config takes ownership of
-    // `stop` below, and the checker must observe the same watchdog.
-    let case_stop = stop.clone();
     let prep = runner.preprocess.then(|| {
         Preprocessor::default().run_under(benchmark.aig(), &stop, &budget, &runner.faults)
     });
@@ -366,60 +472,56 @@ fn run_case_with_stop(
         None => benchmark.ts(),
     };
     let prep_time = prep.as_ref().map_or(Duration::ZERO, |p| p.stats.prep_time);
-    let mut config = configuration
-        .to_config()
-        .with_max_time(runner.timeout.saturating_sub(prep_time))
-        .with_stop_flag(stop)
-        .with_budget(budget)
-        .with_fault_plan(runner.faults.clone());
-    config.limits.max_conflicts = runner.max_conflicts;
-    let mut engine = Ic3::new(ts, config);
-    let outcome = engine.check();
+    // The engine owns its copy of the system; the checks below use this one.
+    let (answer, report) = engine.check(
+        ts.clone(),
+        runner,
+        runner.timeout.saturating_sub(prep_time),
+        stop.clone(),
+        budget,
+    );
     let runtime = started.elapsed();
     let mut cert_time = Duration::ZERO;
-    let (verdict, verified) = match &outcome {
-        plic3::CheckResult::Safe(cert) => {
-            let mut verified = plic3::verify_certificate(engine.ts(), cert).is_ok();
-            // The stronger `--certify` check replays the certificate on the
-            // original, pre-preprocessing circuit through the witness maps.
-            // It runs inside the watchdogged window: a check the watchdog
-            // interrupts stays unproven, not failed.
+    let (verdict, verified) = match &answer {
+        PortfolioResult::Safe(proof) => {
+            let mut verified = verify_safety_proof(&ts, proof).is_ok();
+            // The stronger `--certify` check replays a certificate on the
+            // original, pre-preprocessing circuit through the witness maps
+            // (a k-induction proof has no certificate; it was re-derived
+            // above). It runs inside the watchdogged window: a check the
+            // watchdog interrupts stays unproven, not failed.
             if verified && runner.certify {
-                let certify_started = Instant::now();
-                let identity = Reconstruction::identity(
-                    benchmark.aig().num_inputs(),
-                    benchmark.aig().num_latches(),
-                );
-                let recon = prep.as_ref().map_or(&identity, |p| &p.reconstruction);
-                let options = CheckOptions {
-                    stop: Some(case_stop.clone()),
-                    drat: false,
-                };
-                verified = match plic3_check::check_certificate_on_original(
-                    benchmark.aig(),
-                    recon,
-                    engine.ts(),
-                    cert,
-                    &options,
-                ) {
-                    Ok(_) | Err(CertCheckError::Interrupted) => true,
-                    Err(CertCheckError::Invalid(_)) => false,
-                };
-                cert_time = certify_started.elapsed();
+                if let Some(cert) = answer.certificate() {
+                    let certify_started = Instant::now();
+                    let identity = Reconstruction::identity(
+                        benchmark.aig().num_inputs(),
+                        benchmark.aig().num_latches(),
+                    );
+                    let recon = prep.as_ref().map_or(&identity, |p| &p.reconstruction);
+                    let options = CheckOptions {
+                        stop: Some(stop),
+                        drat: false,
+                    };
+                    verified = !matches!(
+                        check_certificate_on_original(benchmark.aig(), recon, &ts, cert, &options),
+                        Err(CertCheckError::Invalid(_))
+                    );
+                    cert_time = certify_started.elapsed();
+                }
             }
             (Verdict::Safe, verified)
         }
-        plic3::CheckResult::Unsafe(trace) => {
+        PortfolioResult::Unsafe(trace) => {
             // With preprocessing on, the trace lives on the simplified circuit;
             // the witness map must replay it on the *original* one.
             let replays = match &prep {
-                Some(p) => p.replay_on_original(engine.ts(), trace),
-                None => plic3::verify_trace(engine.ts(), benchmark.aig(), trace),
+                Some(p) => p.replay_on_original(&ts, trace),
+                None => trace.replay_on_aig(&ts, benchmark.aig()),
             };
             (Verdict::Unsafe, replays)
         }
-        plic3::CheckResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
-        plic3::CheckResult::Unknown(_) => (Verdict::Unknown, true),
+        PortfolioResult::Unknown(UnknownReason::MemoryOut) => (Verdict::MemOut, true),
+        PortfolioResult::Unknown(_) => (Verdict::Unknown, true),
     };
     let correct = matches!(
         (verdict, benchmark.expected()),
@@ -431,46 +533,44 @@ fn run_case_with_stop(
         benchmark: benchmark.name().to_string(),
         family: benchmark.family().to_string(),
         expected: benchmark.expected(),
-        configuration,
         verdict,
         correct,
         verified,
         runtime,
         prep_time,
         cert_time,
-        stats: *engine.statistics(),
         crash: None,
+        engine: report,
     }
 }
 
-/// The synthetic result of a case whose engine panicked: the runner contains
-/// the crash, reports it, and moves on to the next case. A crash is never a
+/// The synthetic result of a case that panicked: the pool contains the
+/// crash, reports it, and moves on to the next case. A crash is never a
 /// verdict, so it can never be a *wrong* verdict.
-fn crashed_case(
+fn crashed_case<R>(
     benchmark: &Benchmark,
-    configuration: Configuration,
+    engine: R,
     payload: String,
     runtime: Duration,
-) -> CaseResult {
+) -> CaseResult<R> {
     CaseResult {
         benchmark: benchmark.name().to_string(),
         family: benchmark.family().to_string(),
         expected: benchmark.expected(),
-        configuration,
         verdict: Verdict::Crashed,
         correct: true,
         verified: true,
         runtime,
         prep_time: Duration::ZERO,
         cert_time: Duration::ZERO,
-        stats: Statistics::default(),
         crash: Some(payload),
+        engine,
     }
 }
 
 /// Renders a caught panic payload as text (the standard payloads are `&str`
 /// and `String`).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -480,11 +580,10 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The watchdog shared by all workers of one experiment run: a sorted-by-scan
-/// list of armed (deadline, flag) pairs serviced by a dedicated thread, so a
-/// case whose budget expires is cancelled even in the middle of a SAT query.
-/// Shared with the portfolio experiment runner (`portfolio_run`).
-pub(crate) struct Watchdog {
+/// The watchdog shared by all workers of one pool: a list of armed
+/// (deadline, flag) pairs serviced by a dedicated thread, so a case whose
+/// budget expires is cancelled even in the middle of a SAT query.
+struct Watchdog {
     state: Mutex<WatchdogState>,
     wakeup: Condvar,
 }
@@ -496,7 +595,7 @@ struct WatchdogState {
 }
 
 impl Watchdog {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Watchdog {
             state: Mutex::new(WatchdogState {
                 next_id: 0,
@@ -509,7 +608,7 @@ impl Watchdog {
 
     /// Registers `flag` to be raised at `deadline`; returns a token for
     /// [`Watchdog::disarm`].
-    pub(crate) fn arm(&self, deadline: Instant, flag: StopFlag) -> u64 {
+    fn arm(&self, deadline: Instant, flag: StopFlag) -> u64 {
         let mut state = self.state.lock().expect("watchdog lock");
         let id = state.next_id;
         state.next_id += 1;
@@ -519,19 +618,20 @@ impl Watchdog {
     }
 
     /// Withdraws an armed deadline (the case finished within its budget).
-    pub(crate) fn disarm(&self, id: u64) {
+    fn disarm(&self, id: u64) {
         let mut state = self.state.lock().expect("watchdog lock");
         state.armed.retain(|(armed_id, _, _)| *armed_id != id);
     }
 
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         self.state.lock().expect("watchdog lock").shutdown = true;
         self.wakeup.notify_one();
     }
 
-    /// The watchdog thread body: sleep until the earliest armed deadline (or a
-    /// new arming), raise every expired flag, repeat until shutdown.
-    pub(crate) fn run(&self) {
+    /// The watchdog thread body: sleep until the earliest armed deadline, or
+    /// with nothing armed until the next arming or the shutdown, raise every
+    /// expired flag, repeat until shutdown.
+    fn run(&self) {
         let mut state = self.state.lock().expect("watchdog lock");
         loop {
             if state.shutdown {
@@ -545,29 +645,89 @@ impl Watchdog {
                 }
                 !expired
             });
-            let wait = state
-                .armed
-                .iter()
-                .map(|(_, deadline, _)| deadline.saturating_duration_since(now))
-                .min()
-                .unwrap_or(Duration::from_millis(50));
-            let (next, _) = self
-                .wakeup
-                .wait_timeout(state, wait)
-                .expect("watchdog lock");
-            state = next;
+            let next_deadline = state.armed.iter().map(|(_, deadline, _)| *deadline).min();
+            state = match next_deadline {
+                Some(deadline) => {
+                    self.wakeup
+                        .wait_timeout(state, deadline.saturating_duration_since(now))
+                        .expect("watchdog lock")
+                        .0
+                }
+                None => self.wakeup.wait(state).expect("watchdog lock"),
+            };
         }
     }
 }
 
+/// The worker pool (see the module docs): runs every case on at most
+/// `workers` threads, each armed with a watchdog deadline of
+/// [`RunnerConfig::timeout`], and returns the results in case order.
+pub(crate) fn run_cases<E: CaseEngine>(
+    cases: &[(&Benchmark, E)],
+    runner: &RunnerConfig,
+    workers: usize,
+) -> Vec<CaseResult<E::Report>> {
+    let total = cases.len();
+    let mut results: Vec<Option<CaseResult<E::Report>>> = Vec::new();
+    results.resize_with(total, || None);
+    let next_case = AtomicUsize::new(0);
+    let watchdog = Watchdog::new();
+    let (tx, rx) = mpsc::channel::<(usize, CaseResult<E::Report>)>();
+    thread::scope(|scope| {
+        let watchdog = &watchdog;
+        let next_case = &next_case;
+        scope.spawn(move || watchdog.run());
+        for _ in 0..workers.max(1).min(total.max(1)) {
+            let tx = tx.clone();
+            scope.spawn(move || loop {
+                let index = next_case.fetch_add(1, Ordering::Relaxed);
+                if index >= total {
+                    return;
+                }
+                let (benchmark, engine) = &cases[index];
+                let stop = StopFlag::new();
+                let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
+                let case_started = Instant::now();
+                // Fault containment: a panicking case is recorded as
+                // `Verdict::Crashed` and the rest of the suite keeps running
+                // on this worker thread.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    run_case_on(benchmark, engine, runner, stop)
+                }))
+                .unwrap_or_else(|payload| {
+                    crashed_case(
+                        benchmark,
+                        engine.crashed(),
+                        panic_message(payload),
+                        case_started.elapsed(),
+                    )
+                });
+                watchdog.disarm(token);
+                if tx.send((index, result)).is_err() {
+                    return;
+                }
+            });
+        }
+        drop(tx);
+        for (index, result) in rx {
+            results[index] = Some(result);
+        }
+        watchdog.shutdown();
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("every case reports exactly once"))
+        .collect()
+}
+
 /// Runs the whole `suite` under every configuration in `configurations`.
 ///
-/// This is the portfolio runner: cases are distributed over
-/// [`RunnerConfig::effective_workers`] worker threads and each case is armed
-/// with a watchdog deadline of [`RunnerConfig::timeout`]. Results are
-/// reassembled in benchmark-major order, so the returned [`ExperimentData`]
-/// is ordered identically no matter how the cases were scheduled — repeated
-/// runs differ only in measured runtimes.
+/// Cases are distributed over [`RunnerConfig::effective_workers`] worker
+/// threads and each case is armed with a watchdog deadline of
+/// [`RunnerConfig::timeout`]. Results are reassembled in benchmark-major
+/// order, so the returned [`ExperimentData`] is ordered identically no matter
+/// how the cases were scheduled — repeated runs differ only in measured
+/// runtimes.
 pub fn run_experiment(
     suite: &Suite,
     configurations: &[Configuration],
@@ -585,67 +745,12 @@ pub fn run_experiment_with_workers(
     runner: &RunnerConfig,
     workers: usize,
 ) -> ExperimentData {
-    // Benchmark-major case list; the index doubles as the output position.
     let cases: Vec<(&Benchmark, Configuration)> = suite
         .iter()
-        .flat_map(|benchmark| {
-            configurations
-                .iter()
-                .map(move |&configuration| (benchmark, configuration))
-        })
+        .flat_map(|benchmark| configurations.iter().map(move |&c| (benchmark, c)))
         .collect();
-    let total = cases.len();
-    let mut results: Vec<Option<CaseResult>> = vec![None; total];
-    let next_case = AtomicUsize::new(0);
-    let watchdog = Watchdog::new();
-    let (tx, rx) = mpsc::channel::<(usize, CaseResult)>();
-    thread::scope(|scope| {
-        let watchdog = &watchdog;
-        let cases = &cases;
-        let next_case = &next_case;
-        scope.spawn(move || watchdog.run());
-        for _ in 0..workers.max(1).min(total.max(1)) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let index = next_case.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    return;
-                }
-                let (benchmark, configuration) = cases[index];
-                let stop = StopFlag::new();
-                let token = watchdog.arm(Instant::now() + runner.timeout, stop.clone());
-                let case_started = Instant::now();
-                // Fault containment: a panicking case is recorded as
-                // `Verdict::Crashed` and the rest of the suite keeps running
-                // on this worker thread.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_case_with_stop(benchmark, configuration, runner, stop)
-                }))
-                .unwrap_or_else(|payload| {
-                    crashed_case(
-                        benchmark,
-                        configuration,
-                        panic_message(payload),
-                        case_started.elapsed(),
-                    )
-                });
-                watchdog.disarm(token);
-                if tx.send((index, result)).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(tx);
-        for (index, result) in rx {
-            results[index] = Some(result);
-        }
-        watchdog.shutdown();
-    });
     ExperimentData {
-        results: results
-            .into_iter()
-            .map(|result| result.expect("every case reports exactly once"))
-            .collect(),
+        results: run_cases(&cases, runner, workers),
         runner: Some(runner.clone()),
     }
 }
@@ -727,20 +832,37 @@ mod tests {
         assert!(runner.preprocess, "the check must invert real witness maps");
         let mut safe_cases = 0;
         for benchmark in Suite::quick().iter() {
-            let result = run_case(benchmark, Configuration::Ric3Pl, &runner);
-            assert!(result.correct, "{} got wrong verdict", benchmark.name());
-            if result.verdict.solved() {
-                assert!(result.verified, "{} failed certification", benchmark.name());
-            }
-            if result.verdict == Verdict::Safe {
-                safe_cases += 1;
-                assert!(
-                    result.cert_time > Duration::ZERO,
-                    "{}: the certificate check was not timed",
-                    benchmark.name()
-                );
-            } else {
-                assert_eq!(result.cert_time, Duration::ZERO);
+            let single = run_case(benchmark, Configuration::Ric3Pl, &runner);
+            let race = crate::run_portfolio_case(benchmark, &runner, 2, StopFlag::new());
+            let results = [
+                (
+                    single.verdict,
+                    single.correct,
+                    single.verified,
+                    single.cert_time,
+                ),
+                (race.verdict, race.correct, race.verified, race.cert_time),
+            ];
+            // Only certificate-backed proofs are checked on the original
+            // circuit; a race won by k-induction has no certificate.
+            let has_certificate = [true, race.engine.result.certificate().is_some()];
+            for ((verdict, correct, verified, cert_time), has_certificate) in
+                results.into_iter().zip(has_certificate)
+            {
+                assert!(correct, "{} got wrong verdict", benchmark.name());
+                if verdict.solved() {
+                    assert!(verified, "{} failed certification", benchmark.name());
+                }
+                if verdict == Verdict::Safe && has_certificate {
+                    safe_cases += 1;
+                    assert!(
+                        cert_time > Duration::ZERO,
+                        "{}: the certificate check was not timed",
+                        benchmark.name()
+                    );
+                } else {
+                    assert_eq!(cert_time, Duration::ZERO);
+                }
             }
         }
         assert!(safe_cases > 0, "the quick suite has safe instances");
@@ -778,11 +900,11 @@ mod tests {
         assert_eq!(sequential.results.len(), parallel.results.len());
         for (s, p) in sequential.results.iter().zip(&parallel.results) {
             assert_eq!(s.benchmark, p.benchmark, "case order must be identical");
-            assert_eq!(s.configuration, p.configuration);
+            assert_eq!(s.engine.configuration, p.engine.configuration);
             assert_eq!(
                 s.verdict, p.verdict,
                 "{} under {} changed verdict across schedulers",
-                s.benchmark, s.configuration
+                s.benchmark, s.engine.configuration
             );
             assert_eq!(s.correct, p.correct);
             assert_eq!(s.verified, p.verified);
@@ -804,31 +926,36 @@ mod tests {
         let actual: Vec<(String, Configuration)> = data
             .results
             .iter()
-            .map(|r| (r.benchmark.clone(), r.configuration))
+            .map(|r| (r.benchmark.clone(), r.engine.configuration))
             .collect();
         assert_eq!(actual, expected);
     }
 
     #[test]
     fn watchdog_cancels_cases_that_blow_their_budget() {
-        // A budget far below what any real case needs: every verdict must come
-        // back Unknown (counted correct), and the whole experiment must finish
-        // quickly instead of running the cases to completion.
+        // A budget far below what any real case needs, under both engines:
+        // every verdict must come back Unknown (counted correct), and the
+        // whole experiment must finish quickly instead of running the cases
+        // to completion.
         let suite = Suite::hwmcc_like().filter(|b| b.family() == "fifo");
         assert!(!suite.is_empty());
         let runner = RunnerConfig {
             timeout: Duration::from_millis(1),
             max_conflicts: None,
+            workers: 2,
             ..RunnerConfig::default()
         };
         let started = Instant::now();
-        let data = run_experiment_with_workers(&suite, &[Configuration::Ric3], &runner, 2);
+        let single = run_experiment(&suite, &[Configuration::Ric3], &runner);
+        let race = crate::run_portfolio_experiment(&suite, &runner);
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "cancellation failed to bound the run"
         );
-        assert_eq!(data.results.len(), suite.len());
-        assert_eq!(data.wrong_verdicts(), 0);
+        assert_eq!(single.results.len(), suite.len());
+        assert_eq!(race.results.len(), suite.len());
+        assert_eq!(single.wrong_verdicts(), 0);
+        assert_eq!(race.wrong_verdicts(), 0);
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub use worker::{
 use plic3::{Certificate, Limits, UnknownReason};
 use plic3_aig::Aig;
 use plic3_bmc::KInduction;
+use plic3_check::{check_invariant, CheckOptions};
 use plic3_sat::{FaultPlan, ResourceBudget, StopFlag};
 use plic3_ts::{Trace, TransitionSystem};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -255,7 +256,7 @@ impl PortfolioOutcome {
 
 /// Independently re-checks the proof behind a portfolio `Safe` verdict.
 ///
-/// Certificate proofs go through [`plic3::verify_certificate`]; k-induction
+/// Certificate proofs go through [`plic3_check::check_invariant`]; k-induction
 /// proofs are re-established by a **fresh** [`KInduction`] engine run to the
 /// claimed depth (sound because the claim `Safe { k }` is fully re-derived,
 /// nothing from the original run is reused).
@@ -292,7 +293,9 @@ impl PortfolioOutcome {
 /// ```
 pub fn verify_safety_proof(ts: &TransitionSystem, proof: &SafetyProof) -> Result<(), String> {
     match proof {
-        SafetyProof::Invariant(cert) => plic3::verify_certificate(ts, cert),
+        SafetyProof::Invariant(cert) => check_invariant(ts, cert, &CheckOptions::default())
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
         SafetyProof::KInductive { k } => {
             let mut kind = KInduction::new(ts);
             if kind.check(*k).is_safe() {

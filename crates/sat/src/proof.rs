@@ -33,7 +33,7 @@
 
 use plic3_logic::Lit;
 
-/// One line of a DRAT-style proof trace. See the [module docs](self) for the
+/// One line of a DRAT-style proof trace. See the module docs for the
 /// meaning of each variant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProofStep {

@@ -29,8 +29,8 @@ use plic3_repro::harness::{
     run_case, run_experiment_with_workers, Configuration, RunnerConfig, Verdict,
 };
 use plic3_repro::ic3::{
-    verify_trace, CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, Limits,
-    ResourceBudget, StopFlag, UnknownReason, INJECTED_PANIC,
+    CheckResult, Config, FaultKind, FaultPlan, FaultSite, Ic3, Limits, ResourceBudget, StopFlag,
+    UnknownReason, INJECTED_PANIC,
 };
 use plic3_repro::logic::{Clause, Cube, Lit};
 use plic3_repro::portfolio::{
@@ -190,7 +190,7 @@ fn chaos_ic3(aig: &Aig, expect_safe: bool, faults: FaultPlan) {
         }
         Ok(CheckResult::Unsafe(trace)) => {
             assert!(!expect_safe, "bogus IC3 Unsafe under chaos");
-            assert!(verify_trace(&ts, aig, &trace), "non-replayable chaos trace");
+            assert!(trace.replay_on_aig(&ts, aig), "non-replayable chaos trace");
         }
         Ok(CheckResult::Unknown(_)) => {}
     }

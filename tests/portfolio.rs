@@ -6,6 +6,7 @@
 
 use plic3_repro::benchmarks::families::random::{random_circuit, RandomCircuitConfig};
 use plic3_repro::benchmarks::{ExpectedResult, Suite};
+use plic3_repro::check::{check_invariant, CheckOptions};
 use plic3_repro::harness::{run_portfolio_case, RunnerConfig, Verdict};
 use plic3_repro::ic3::{Config, Ic3, StopFlag, UnknownReason};
 use plic3_repro::portfolio::{
@@ -36,7 +37,7 @@ fn portfolio_agrees_with_ground_truth_and_single_engine_on_quick_suite() {
             expected,
             "{}: portfolio disagrees with ground truth (winner {:?})",
             bench.name(),
-            result.winner
+            result.engine.winner_label()
         );
         assert!(result.correct);
         assert!(
@@ -198,7 +199,7 @@ fn poisoned_foreign_lemmas_are_rejected_by_the_consecution_recheck() {
     // The verdict is unharmed: the counter still provably reaches 5.
     let trace = result.trace().expect("counter reaches 5");
     assert!(
-        plic3_repro::ic3::verify_trace(engine.ts(), &aig, trace),
+        trace.replay_on_aig(engine.ts(), &aig),
         "trace must replay on the original circuit"
     );
     assert!(trace.len() >= 5);
@@ -234,7 +235,7 @@ fn genuine_foreign_lemmas_pass_the_recheck_and_help() {
     let stats = *engine.statistics();
     assert_eq!(stats.lemmas_imported, 1, "the sound lemma is adopted");
     let cert = result.certificate().expect("saturating counter is safe");
-    plic3_repro::ic3::verify_certificate(engine.ts(), cert).expect("certificate verifies");
+    check_invariant(engine.ts(), cert, &CheckOptions::default()).expect("certificate verifies");
 }
 
 #[test]
