@@ -27,6 +27,8 @@
 
 mod drat;
 mod invariant;
+#[cfg(test)]
+mod verify;
 
 pub use drat::{check_unsat_proof, DratStats};
 pub use invariant::{

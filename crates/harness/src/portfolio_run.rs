@@ -284,6 +284,7 @@ pub fn to_csv(data: &PortfolioData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn tiny_runner() -> RunnerConfig {
         RunnerConfig {
@@ -332,5 +333,25 @@ mod tests {
         assert!(rendered.contains("lemma exchange"));
         let csv = to_csv(&data);
         assert_eq!(csv.lines().count(), suite.len() + 1);
+    }
+
+    #[test]
+    fn expired_watchdog_budget_yields_unknowns_not_wrong_verdicts() {
+        let suite = Suite::quick().filter(|b| b.family() == "fifo");
+        assert!(!suite.is_empty());
+        let runner = RunnerConfig {
+            timeout: Duration::from_millis(1),
+            max_conflicts: None,
+            workers: 2,
+            ..RunnerConfig::default()
+        };
+        let started = Instant::now();
+        let data = run_portfolio_experiment(&suite, &runner);
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "cancellation failed to bound the run"
+        );
+        assert_eq!(data.results.len(), suite.len());
+        assert_eq!(data.wrong_verdicts(), 0);
     }
 }
